@@ -127,6 +127,10 @@ StreamHandle EdgeFleet::FinishAddStream(std::unique_ptr<Stream> s) {
     s->store = std::make_shared<EdgeStore>(sc);
   }
   s->handle = next_stream_++;
+  {
+    std::lock_guard<std::mutex> stores_lock(stores_mu_);
+    stores_[s->handle] = s->store;
+  }
   if (xcam_ != nullptr && xcam_->topology.Contains(s->handle)) {
     s->in_topology = true;
     s->bg = std::make_unique<xcam::BackgroundModel>();
@@ -231,8 +235,9 @@ void EdgeFleet::RemoveStream(StreamHandle stream) {
   }
   // The archive outlives the stream: a datacenter application can still
   // demand-fetch history from a camera that has since detached.
-  if (streams_[idx]->store != nullptr) {
-    retired_stores_.emplace_back(stream, streams_[idx]->store);
+  if (streams_[idx]->store == nullptr) {
+    std::lock_guard<std::mutex> stores_lock(stores_mu_);
+    stores_.erase(stream);
   }
   streams_.erase(streams_.begin() + static_cast<std::ptrdiff_t>(idx));
   // Frames of this stream staged in a bucket stop resolving and are
@@ -1606,13 +1611,11 @@ EdgeStore* EdgeFleet::edge_store(StreamHandle stream) {
 }
 
 std::shared_ptr<EdgeStore> EdgeFleet::edge_store_shared(StreamHandle stream) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (Stream* s = FindStream(stream)) return s->store;
-  for (const auto& [handle, st] : retired_stores_) {
-    if (handle == stream) return st;
-  }
-  FF_CHECK_MSG(false, "no stream (live or retired) with handle " << stream);
-  return nullptr;  // unreachable; FF_CHECK_MSG(false, ...) throws
+  std::lock_guard<std::mutex> lock(stores_mu_);
+  const auto it = stores_.find(stream);
+  FF_CHECK_MSG(it != stores_.end(),
+               "no stream (live or retired) with handle " << stream);
+  return it->second;
 }
 
 std::int64_t EdgeFleet::batches_run() const {

@@ -501,9 +501,10 @@ class EdgeFleet {
   // outlives the stream so historical demand-fetch still works — and a
   // handle never seen throws loudly.
   EdgeStore* edge_store(StreamHandle stream);
-  // Shared ownership of the same store, for demand-fetch handlers that must
-  // not touch the fleet lock on their serving thread (see
-  // net::UplinkClient::SetFetchHandler).
+  // Shared ownership of the same store, for demand-fetch handlers on the
+  // uplink pump thread (see net::UplinkClient::SetFetchHandler). Never
+  // takes the fleet lock, so it cannot wait on a sink that holds that lock
+  // while blocked in UplinkClient::Enqueue.
   std::shared_ptr<EdgeStore> edge_store_shared(StreamHandle stream);
 
   // Phase-1 batches run so far (all buckets); frames_processed() /
@@ -796,9 +797,14 @@ class EdgeFleet {
   util::WindowedStat fleet_latency_;  // pooled ingest→decision ms
   std::vector<std::unique_ptr<Stream>> streams_;
   std::vector<std::unique_ptr<Bucket>> buckets_;
-  // Archives of removed streams, still fetchable by their old handle.
-  std::vector<std::pair<StreamHandle, std::shared_ptr<EdgeStore>>>
-      retired_stores_;
+  // Every stream's archive by handle, live and retired: a removed stream's
+  // archive stays fetchable by its old handle. Guarded by its own
+  // stores_mu_ (taken after mu_, never before), not by mu_: the
+  // demand-fetch handler resolves stores on the uplink pump thread, and a
+  // sink may hold mu_ while blocked in UplinkClient::Enqueue on a queue
+  // only that pump can drain.
+  mutable std::mutex stores_mu_;
+  std::map<StreamHandle, std::shared_ptr<EdgeStore>> stores_;
   StreamHandle next_stream_ = 0;
   McHandle next_handle_ = 0;
   std::size_t bucket_rr_ = 0;    // sync Step: next bucket to try

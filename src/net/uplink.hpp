@@ -34,11 +34,12 @@
 // edge FETCH frames. With a FetchHandler installed, the pump collects fetch
 // requests addressed to this fleet and serves them on the pumping thread,
 // OUTSIDE the client lock (the handler typically re-encodes a clip — real
-// work — and may take the fleet/store locks). The resulting ClipRecord rides
-// the normal reliable record path back. request_ids already answered are
-// deduped (the ingest re-sends requests until the clip arrives), and a
-// response that finds the send queue full is DROPPED — never block the pump
-// on its own queue — un-marking the id so the ingest's re-request is served.
+// work — and may take the store locks, never the fleet lock). The resulting
+// ClipRecord rides the normal reliable record path back. request_ids
+// already answered are deduped (the ingest re-sends requests until the clip
+// arrives), and a response that finds the send queue full is DROPPED —
+// never block the pump on its own queue — un-marking the id so the ingest's
+// re-request is served.
 #pragma once
 
 #include <condition_variable>
@@ -142,7 +143,8 @@ class UplinkClient {
   // EdgeFleet::SetUploadSink / McSpec::on_event. NOTE the fleet fires sinks
   // with its own lock held: with the blocking policy, a full queue stalls
   // the fleet's schedule — that is the designed backpressure, and it is
-  // deadlock-free because the pump never calls back into the fleet.
+  // deadlock-free because the pump never takes the fleet lock (the fetch
+  // handler resolves stores through EdgeFleet::edge_store_shared).
   core::UploadSink sink();
   core::EventSink event_sink();
   // Ready for EdgeFleet::SetCrossEventSink; same locking caveat as sink().

@@ -64,6 +64,105 @@ XRange ValidX(std::int64_t out_w, std::int64_t in_w, std::int64_t s,
 
 using kernels::ForEachPlaneBlock;
 
+// One tap's stride-1 row update: `rows` x `n` outputs starting at output
+// offset `y_off` (row stride out_w), read from the tap's phase starting at
+// offset `x_off` (row stride Polyphase::row_stride()).
+struct TapRun {
+  std::int64_t x_off = 0, y_off = 0, rows = 0, n = 0;
+};
+
+// A conv's input plane seen through its polyphase split. Phase (py, px)
+// holds in[s*y + py][s*x + px], so tap (ky, kx) of a stride-s conv reads a
+// single phase at a constant shift: output (oy, ox) takes phase element
+// (oy + dy, ox + dx). Every tap thereby becomes a stride-1 row update that
+// runs through the same AxpyRows/Axpy4Rows kernels as a stride-1 conv, and
+// the per-element fold order is untouched. At stride 1 the only phase is
+// the input plane itself and nothing is copied.
+class Polyphase {
+ public:
+  Polyphase(std::int64_t ih, std::int64_t iw, std::int64_t in_row_stride,
+            std::int64_t s, const AxisGeometry& gy, const AxisGeometry& gx,
+            std::int64_t oh, std::int64_t ow)
+      : ih_(ih),
+        iw_(iw),
+        s_(s),
+        pad_y_(gy.pad_begin),
+        pad_x_(gx.pad_begin),
+        oh_(oh),
+        ow_(ow),
+        ph_((ih + s - 1) / s),
+        pw_((iw + s - 1) / s),
+        row_stride_(s == 1 ? in_row_stride : pw_) {}
+
+  // Whether the input is copied into phases (stride > 1).
+  bool split() const { return s_ > 1; }
+  // Floats one split input plane occupies: s*s phases of ph x pw.
+  std::int64_t plane_floats() const { return s_ * s_ * ph_ * pw_; }
+  std::int64_t row_stride() const { return row_stride_; }
+
+  // Copies one input plane (row stride `is`) into its s*s phases at `dst`.
+  void Split(const float* src, std::int64_t is, float* dst) const {
+    for (std::int64_t py = 0; py < s_; ++py) {
+      for (std::int64_t px = 0; px < s_; ++px) {
+        float* d = dst + (py * s_ + px) * ph_ * pw_;
+        const std::int64_t ey = Extent(ih_, py), ex = Extent(iw_, px);
+        for (std::int64_t y = 0; y < ey; ++y) {
+          const float* r = src + (s_ * y + py) * is + px;
+          float* o = d + y * pw_;
+          for (std::int64_t x = 0; x < ex; ++x) o[x] = r[s_ * x];
+        }
+      }
+    }
+  }
+
+  TapRun Tap(std::int64_t ky, std::int64_t kx) const {
+    const Axis y = TapAxis(ky - pad_y_, ih_, oh_);
+    const Axis x = TapAxis(kx - pad_x_, iw_, ow_);
+    TapRun t;
+    t.rows = y.hi - y.lo;
+    t.n = x.hi - x.lo;
+    t.x_off = (y.phase * s_ + x.phase) * ph_ * pw_ +
+              (y.lo + y.shift) * row_stride_ + (x.lo + x.shift);
+    t.y_off = y.lo * ow_ + x.lo;
+    return t;
+  }
+
+ private:
+  struct Axis {
+    std::int64_t phase, shift, lo, hi;  // outputs [lo, hi) are in range
+  };
+  // Elements of phase `p` along an axis of length `in`: #{i : s*i + p < in}.
+  std::int64_t Extent(std::int64_t in, std::int64_t p) const {
+    return (in - p + s_ - 1) / s_;
+  }
+  // Input index s*o + off = s*(o + shift) + phase, with phase in [0, s).
+  Axis TapAxis(std::int64_t off, std::int64_t in, std::int64_t out) const {
+    const std::int64_t shift = off >= 0 ? off / s_ : -((-off + s_ - 1) / s_);
+    const std::int64_t phase = off - shift * s_;
+    const std::int64_t lo = std::max<std::int64_t>(0, -shift);
+    const std::int64_t hi = std::min(out, Extent(in, phase) - shift);
+    return {phase, shift, lo, std::max(lo, hi)};
+  }
+
+  std::int64_t ih_, iw_, s_, pad_y_, pad_x_, oh_, ow_, ph_, pw_, row_stride_;
+};
+
+// The fused activation, applied in place to one finished output plane. The
+// same kernels Activation::Forward runs, so the result is bitwise-equal to
+// running the activation layer on the conv's output.
+void ApplyEpilogue(Epilogue ep, float* y, std::int64_t n) {
+  switch (ep) {
+    case Epilogue::kNone:
+      return;
+    case Epilogue::kRelu:
+      kernels::Relu(y, y, n);
+      return;
+    case Epilogue::kRelu6:
+      kernels::Relu6(y, y, n);
+      return;
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -96,11 +195,14 @@ Shape Conv2D::OutputShape(const Shape& in) const {
   return Shape{in.n, out_c_, gy.out, gx.out};
 }
 
-Tensor Conv2D::Forward(const TensorView& in) {
+Tensor Conv2D::Forward(const TensorView& in, Epilogue ep) {
+  FF_CHECK_MSG(!training_ || ep == Epilogue::kNone,
+               name() << ": a fused epilogue is inference-only");
   const Shape out_shape = OutputShape(in.shape());
   Tensor out(out_shape);
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
   const AxisGeometry gx = ComputeAxisGeometry(in.shape().w, k_, stride_, pad_);
+  const std::int64_t batch = in.shape().n;
   const std::int64_t ih = in.shape().h, iw = in.shape().w;
   const std::int64_t oh = out_shape.h, ow = out_shape.w;
   const std::int64_t is = in.row_stride();
@@ -114,6 +216,26 @@ Tensor Conv2D::Forward(const TensorView& in) {
   const bool pointwise = (k_ == 1 && stride_ == 1);
   const std::int64_t n_runs = in.plane_contiguous() ? 1 : ih;
   const std::int64_t run = in.plane_contiguous() ? ih * iw : iw;
+
+  // A strided KxK conv reads every input plane from every output-channel
+  // block, so the polyphase split happens once, up front.
+  const Polyphase pp(ih, iw, is, stride_, gy, gx, oh, ow);
+  std::vector<float> phases(
+      static_cast<std::size_t>(pp.split() ? batch * in_c_ * pp.plane_floats()
+                                          : 0));
+  auto split_plane = [&](std::int64_t n, std::int64_t ic) {
+    return phases.data() + (n * in_c_ + ic) * pp.plane_floats();
+  };
+  if (pp.split()) {
+    kernels::ForEachPlane(batch, in_c_, batch * in_c_ * ih * iw,
+                          [&](std::int64_t n, std::int64_t ic) {
+                            pp.Split(in.plane(n, ic), is, split_plane(n, ic));
+                          });
+  }
+  // The plane the KxK taps read: its phases when strided, else the input.
+  auto tap_plane = [&](std::int64_t n, std::int64_t ic) -> const float* {
+    return pp.split() ? split_plane(n, ic) : in.plane(n, ic);
+  };
 
   auto compute_oc_block = [&](std::int64_t n, std::int64_t oc0,
                               std::int64_t oc1) {
@@ -156,17 +278,18 @@ Tensor Conv2D::Forward(const TensorView& in) {
       }
       return;
     }
-    // General KxK path: scalar weight broadcast over a row axpy, blocked
-    // four output channels per input-row load for stride 1 (the inner
-    // x-loop is contiguous and runs through the SIMD kernel).
+    // General KxK path, any stride: scalar weight broadcast over a row axpy
+    // on one phase, blocked four output channels per input-row load (the
+    // inner x-loop is contiguous and runs through the SIMD kernel). Per
+    // output element the fold runs ic -> ky -> kx, one rounding per tap.
     std::int64_t oc = oc0;
-    for (; stride_ == 1 && oc + 4 <= oc1; oc += 4) {
+    for (; oc + 4 <= oc1; oc += 4) {
       float* const o0 = out.plane(n, oc);
       float* const o1 = out.plane(n, oc + 1);
       float* const o2 = out.plane(n, oc + 2);
       float* const o3 = out.plane(n, oc + 3);
       for (std::int64_t ic = 0; ic < in_c_; ++ic) {
-        const float* ip = in.plane(n, ic);
+        const float* ip = tap_plane(n, ic);
         const float* wrow =
             &w_[static_cast<std::size_t>((oc * in_c_ + ic) * k_ * k_)];
         const std::int64_t wplane = in_c_ * k_ * k_;
@@ -180,19 +303,11 @@ Tensor Conv2D::Forward(const TensorView& in) {
                 w4[3] == 0.0f) {
               continue;
             }
-            const XRange xr = ValidX(ow, iw, stride_, kx, gx.pad_begin);
-            if (xr.hi <= xr.lo) continue;
-            // Valid output rows are contiguous at stride 1; one fused call
-            // covers them all.
-            const std::int64_t oy_lo =
-                std::max<std::int64_t>(0, gy.pad_begin - ky);
-            const std::int64_t oy_hi = std::min(oh, ih - ky + gy.pad_begin);
-            if (oy_hi <= oy_lo) continue;
-            const float* xbase = ip + (oy_lo + ky - gy.pad_begin) * is +
-                                 (kx - gx.pad_begin) + xr.lo;
-            const std::int64_t off = oy_lo * ow + xr.lo;
-            kernels::Axpy4Rows(w4, xbase, is, o0 + off, o1 + off, o2 + off,
-                               o3 + off, ow, oy_hi - oy_lo, xr.hi - xr.lo);
+            const TapRun t = pp.Tap(ky, kx);
+            if (t.rows <= 0 || t.n <= 0) continue;
+            kernels::Axpy4Rows(w4, ip + t.x_off, pp.row_stride(), o0 + t.y_off,
+                               o1 + t.y_off, o2 + t.y_off, o3 + t.y_off, ow,
+                               t.rows, t.n);
           }
         }
       }
@@ -200,35 +315,17 @@ Tensor Conv2D::Forward(const TensorView& in) {
     for (; oc < oc1; ++oc) {
       float* op = out.plane(n, oc);
       for (std::int64_t ic = 0; ic < in_c_; ++ic) {
-        const float* ip = in.plane(n, ic);
+        const float* ip = tap_plane(n, ic);
         const float* wrow =
             &w_[static_cast<std::size_t>((oc * in_c_ + ic) * k_ * k_)];
         for (std::int64_t ky = 0; ky < k_; ++ky) {
           for (std::int64_t kx = 0; kx < k_; ++kx) {
             const float w = wrow[ky * k_ + kx];
             if (w == 0.0f) continue;
-            const XRange xr = ValidX(ow, iw, stride_, kx, gx.pad_begin);
-            if (xr.hi <= xr.lo) continue;
-            if (stride_ == 1) {
-              const std::int64_t oy_lo =
-                  std::max<std::int64_t>(0, gy.pad_begin - ky);
-              const std::int64_t oy_hi = std::min(oh, ih - ky + gy.pad_begin);
-              if (oy_hi <= oy_lo) continue;
-              const float* xbase = ip + (oy_lo + ky - gy.pad_begin) * is +
-                                   (kx - gx.pad_begin) + xr.lo;
-              kernels::AxpyRows(w, xbase, is, op + oy_lo * ow + xr.lo, ow,
-                                oy_hi - oy_lo, xr.hi - xr.lo);
-              continue;
-            }
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-              const std::int64_t iy = oy * stride_ + ky - gy.pad_begin;
-              if (iy < 0 || iy >= ih) continue;
-              const float* irow = ip + iy * is + (kx - gx.pad_begin);
-              float* orow = op + oy * ow;
-              for (std::int64_t ox = xr.lo; ox < xr.hi; ++ox) {
-                orow[ox] += w * irow[ox * stride_];
-              }
-            }
+            const TapRun t = pp.Tap(ky, kx);
+            if (t.rows <= 0 || t.n <= 0) continue;
+            kernels::AxpyRows(w, ip + t.x_off, pp.row_stride(), op + t.y_off,
+                              ow, t.rows, t.n);
           }
         }
       }
@@ -236,8 +333,13 @@ Tensor Conv2D::Forward(const TensorView& in) {
   };
 
   const std::int64_t flops_per_oc = 2 * oh * ow * in_c_ * k_ * k_;
-  ForEachPlaneBlock(in.shape().n, out_c_,
-                    flops_per_oc * out_c_ * in.shape().n, compute_oc_block);
+  ForEachPlaneBlock(batch, out_c_, flops_per_oc * out_c_ * batch,
+                    [&](std::int64_t n, std::int64_t oc0, std::int64_t oc1) {
+                      compute_oc_block(n, oc0, oc1);
+                      for (std::int64_t oc = oc0; oc < oc1; ++oc) {
+                        ApplyEpilogue(ep, out.plane(n, oc), oh * ow);
+                      }
+                    });
 
   if (training_) saved_in_ = in.Materialize();  // copy: needed for dW
   return out;
@@ -365,7 +467,9 @@ Shape DepthwiseConv2D::OutputShape(const Shape& in) const {
   return Shape{in.n, c_, gy.out, gx.out};
 }
 
-Tensor DepthwiseConv2D::Forward(const TensorView& in) {
+Tensor DepthwiseConv2D::Forward(const TensorView& in, Epilogue ep) {
+  FF_CHECK_MSG(!training_ || ep == Epilogue::kNone,
+               name() << ": a fused epilogue is inference-only");
   const Shape out_shape = OutputShape(in.shape());
   Tensor out(out_shape);
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
@@ -373,40 +477,31 @@ Tensor DepthwiseConv2D::Forward(const TensorView& in) {
   const std::int64_t ih = in.shape().h, iw = in.shape().w;
   const std::int64_t oh = out_shape.h, ow = out_shape.w;
   const std::int64_t is = in.row_stride();
+  const Polyphase pp(ih, iw, is, stride_, gy, gx, oh, ow);
 
   auto compute_c = [&](std::int64_t n, std::int64_t c0, std::int64_t c1) {
+    // Each channel is read by its own taps only, so a strided conv splits
+    // one plane at a time into a block-local buffer that stays in cache.
+    std::vector<float> phases(
+        static_cast<std::size_t>(pp.split() ? pp.plane_floats() : 0));
     for (std::int64_t c = c0; c < c1; ++c) {
       const float* ip = in.plane(n, c);
+      if (pp.split()) {
+        pp.Split(ip, is, phases.data());
+        ip = phases.data();
+      }
       float* op = out.plane(n, c);
       kernels::Fill(op, oh * ow, b_[static_cast<std::size_t>(c)]);
       const float* wrow = &w_[static_cast<std::size_t>(c * k_ * k_)];
       for (std::int64_t ky = 0; ky < k_; ++ky) {
         for (std::int64_t kx = 0; kx < k_; ++kx) {
-          const float w = wrow[ky * k_ + kx];
-          const XRange xr = ValidX(ow, iw, stride_, kx, gx.pad_begin);
-          if (xr.hi <= xr.lo) continue;
-          if (stride_ == 1) {
-            const std::int64_t oy_lo =
-                std::max<std::int64_t>(0, gy.pad_begin - ky);
-            const std::int64_t oy_hi = std::min(oh, ih - ky + gy.pad_begin);
-            if (oy_hi <= oy_lo) continue;
-            const float* xbase = ip + (oy_lo + ky - gy.pad_begin) * is +
-                                 (kx - gx.pad_begin) + xr.lo;
-            kernels::AxpyRows(w, xbase, is, op + oy_lo * ow + xr.lo, ow,
-                              oy_hi - oy_lo, xr.hi - xr.lo);
-            continue;
-          }
-          for (std::int64_t oy = 0; oy < oh; ++oy) {
-            const std::int64_t iy = oy * stride_ + ky - gy.pad_begin;
-            if (iy < 0 || iy >= ih) continue;
-            const float* irow = ip + iy * is + (kx - gx.pad_begin);
-            float* orow = op + oy * ow;
-            for (std::int64_t ox = xr.lo; ox < xr.hi; ++ox) {
-              orow[ox] += w * irow[ox * stride_];
-            }
-          }
+          const TapRun t = pp.Tap(ky, kx);
+          if (t.rows <= 0 || t.n <= 0) continue;
+          kernels::AxpyRows(wrow[ky * k_ + kx], ip + t.x_off, pp.row_stride(),
+                            op + t.y_off, ow, t.rows, t.n);
         }
       }
+      ApplyEpilogue(ep, op, oh * ow);
     }
   };
 

@@ -1,5 +1,8 @@
 // 2-D convolutions: generic KxK, depthwise, and a fast pointwise (1x1) path.
 //
+// Strided KxK and depthwise convs split their input into stride x stride
+// phases (polyphase) so each tap is a stride-1 row update; see conv.cpp.
+//
 // Padding modes:
 //  * kValid    — no padding; out = (in - k)/s + 1.
 //  * kSameCeil — TensorFlow "SAME"; out = ceil(in/s).
@@ -29,7 +32,12 @@ class Conv2D : public Layer {
          std::int64_t k, std::int64_t stride, Padding pad);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Forward(const TensorView& in) override;
+  Tensor Forward(const TensorView& in) override {
+    return Forward(in, Epilogue::kNone);
+  }
+  // Forward with `ep` applied to each output plane as it is finished;
+  // bitwise-equal to the activation layer run on the unfused output.
+  Tensor Forward(const TensorView& in, Epilogue ep);
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<ParamView> Params() override;
   std::uint64_t Macs(const Shape& in) const override;
@@ -58,7 +66,12 @@ class DepthwiseConv2D : public Layer {
                   std::int64_t stride, Padding pad);
 
   Shape OutputShape(const Shape& in) const override;
-  Tensor Forward(const TensorView& in) override;
+  Tensor Forward(const TensorView& in) override {
+    return Forward(in, Epilogue::kNone);
+  }
+  // Forward with `ep` applied to each output plane as it is finished;
+  // bitwise-equal to the activation layer run on the unfused output.
+  Tensor Forward(const TensorView& in, Epilogue ep);
   Tensor Backward(const Tensor& grad_out) override;
   std::vector<ParamView> Params() override;
   std::uint64_t Macs(const Shape& in) const override;

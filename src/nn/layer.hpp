@@ -30,6 +30,11 @@ using tensor::Shape;
 using tensor::Tensor;
 using tensor::TensorView;
 
+// An activation a compute layer applies in place to each finished output
+// block, while the block is still in cache (float inference only). See
+// FusableEpilogue() in sequential.hpp for when a layer pair fuses.
+enum class Epilogue { kNone, kRelu, kRelu6 };
+
 // Non-owning handle to one parameter blob and its gradient accumulator.
 struct ParamView {
   std::string name;

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "nn/activations.hpp"
 #include "nn/dense.hpp"
 #include "nn/kernels.hpp"
 #include "util/check.hpp"
@@ -312,13 +311,9 @@ std::vector<OpGroup> GroupLayers(Sequential& net) {
     OpGroup g;
     g.compute = i;
     g.end = i + 1;
-    if (i + 1 < net.n_layers()) {
-      if (auto* act = dynamic_cast<Activation*>(&net.layer(i + 1));
-          act != nullptr &&
-          (act->kind() == ActKind::kRelu || act->kind() == ActKind::kRelu6)) {
-        g.fused_act = true;
-        g.end = i + 2;
-      }
+    if (FusableEpilogue(net, i) != Epilogue::kNone) {
+      g.fused_act = true;
+      g.end = i + 2;
     }
     groups.push_back(g);
     i = g.end;

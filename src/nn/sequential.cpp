@@ -1,5 +1,8 @@
 #include "nn/sequential.hpp"
 
+#include "nn/activations.hpp"
+#include "nn/conv.hpp"
+
 namespace ff::nn {
 
 Layer& Sequential::Add(LayerPtr layer) {
@@ -20,26 +23,75 @@ bool Sequential::Contains(const std::string& layer_name) const {
   return index_.find(layer_name) != index_.end();
 }
 
-Tensor Sequential::Forward(const TensorView& in) {
-  FF_CHECK(!layers_.empty());
-  Tensor x = layers_[0]->Forward(in);
-  for (std::size_t i = 1; i < layers_.size(); ++i) x = layers_[i]->Forward(x);
+Epilogue FusableEpilogue(const Sequential& net, std::size_t i) {
+  if (i + 1 >= net.n_layers()) return Epilogue::kNone;
+  const auto* act = dynamic_cast<const Activation*>(&net.layer(i + 1));
+  if (act == nullptr) return Epilogue::kNone;
+  switch (act->kind()) {
+    case ActKind::kRelu:
+      return Epilogue::kRelu;
+    case ActKind::kRelu6:
+      return Epilogue::kRelu6;
+    case ActKind::kSigmoid:
+      break;
+  }
+  return Epilogue::kNone;
+}
+
+namespace {
+
+// Runs `l` with `ep` fused in when it is a layer that can apply one.
+std::optional<Tensor> ForwardFused(Layer& l, const TensorView& in,
+                                   Epilogue ep) {
+  if (auto* conv = dynamic_cast<Conv2D*>(&l)) return conv->Forward(in, ep);
+  if (auto* dw = dynamic_cast<DepthwiseConv2D*>(&l)) return dw->Forward(in, ep);
+  return std::nullopt;
+}
+
+}  // namespace
+
+Tensor Sequential::Run(const TensorView& in, std::size_t begin,
+                       std::size_t end, const std::set<std::string>* taps,
+                       std::map<std::string, Tensor>* tapped) {
+  FF_CHECK(begin < end && end <= layers_.size());
+  auto is_tap = [&](const Layer& l) {
+    return taps != nullptr && taps->count(l.name()) > 0;
+  };
+  Tensor x;
+  for (std::size_t i = begin; i < end;) {
+    const TensorView src = i == begin ? in : TensorView(x);
+    Layer& l = *layers_[i];
+    // Fuse only in inference mode (Backward needs the activation's saved
+    // output) and only when nobody asked for the pre-activation blob.
+    const Epilogue ep = FusableEpilogue(*this, i);
+    const bool fuse = ep != Epilogue::kNone && i + 1 < end && !l.training() &&
+                      !layers_[i + 1]->training() && !is_tap(l);
+    std::optional<Tensor> fused =
+        fuse ? ForwardFused(l, src, ep) : std::nullopt;
+    if (fused.has_value()) {
+      x = std::move(*fused);
+      ++i;  // the activation's output is what the conv just produced
+    } else {
+      x = l.Forward(src);
+    }
+    if (is_tap(*layers_[i])) (*tapped)[layers_[i]->name()] = x;
+    ++i;
+  }
   return x;
 }
 
+Tensor Sequential::Forward(const TensorView& in) {
+  FF_CHECK(!layers_.empty());
+  return Run(in, 0, layers_.size(), nullptr, nullptr);
+}
+
 Tensor Sequential::ForwardTo(const TensorView& in, const std::string& last_layer) {
-  const std::size_t last = IndexOf(last_layer);
-  Tensor x = layers_[0]->Forward(in);
-  for (std::size_t i = 1; i <= last; ++i) x = layers_[i]->Forward(x);
-  return x;
+  return Run(in, 0, IndexOf(last_layer) + 1, nullptr, nullptr);
 }
 
 Tensor Sequential::ForwardRange(const TensorView& in, std::size_t begin,
                                 std::size_t end) {
-  FF_CHECK(begin < end && end <= layers_.size());
-  Tensor x = layers_[begin]->Forward(in);
-  for (std::size_t i = begin + 1; i < end; ++i) x = layers_[i]->Forward(x);
-  return x;
+  return Run(in, begin, end, nullptr, nullptr);
 }
 
 std::map<std::string, Tensor> Sequential::ForwardWithTaps(
@@ -48,12 +100,7 @@ std::map<std::string, Tensor> Sequential::ForwardWithTaps(
   std::size_t deepest = 0;
   for (const auto& t : taps) deepest = std::max(deepest, IndexOf(t));
   std::map<std::string, Tensor> out;
-  Tensor x = layers_[0]->Forward(in);
-  if (taps.count(layers_[0]->name())) out[layers_[0]->name()] = x;
-  for (std::size_t i = 1; i <= deepest; ++i) {
-    x = layers_[i]->Forward(x);
-    if (taps.count(layers_[i]->name())) out[layers_[i]->name()] = x;
-  }
+  Run(in, 0, deepest + 1, &taps, &out);
   return out;
 }
 

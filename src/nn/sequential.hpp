@@ -3,6 +3,12 @@
 // The feature extractor uses ForwardWithTaps() to collect intermediate
 // activations (paper §3.1) and stops at the deepest tap it needs, so running
 // microclassifiers fed from conv4_2/sep never pays for conv5/conv6.
+//
+// In inference mode every forward entry point runs a Conv2D or
+// DepthwiseConv2D followed by a ReLU/ReLU6 as one fused op: the conv applies
+// the activation to each output block in place and the result is published
+// under the activation layer's name. A pair does not fuse in training mode
+// or when the conv's own (pre-activation) output is a requested tap.
 #pragma once
 
 #include <map>
@@ -79,9 +85,22 @@ class Sequential {
   std::int64_t ParamCount() const;
 
  private:
+  // The one forward loop behind Forward/ForwardTo/ForwardRange/
+  // ForwardWithTaps: runs layers [begin, end), fusing activation pairs,
+  // and stores the output of every layer named in `taps` into `*tapped`.
+  Tensor Run(const TensorView& in, std::size_t begin, std::size_t end,
+             const std::set<std::string>* taps,
+             std::map<std::string, Tensor>* tapped);
+
   std::string name_;
   std::vector<LayerPtr> layers_;
   std::map<std::string, std::size_t> index_;
 };
+
+// The fused-activation pairing rule shared by float inference (the loop
+// above) and the int8 planner (quantize.cpp): the epilogue the compute layer
+// at index i absorbs when layer i + 1 is a ReLU or ReLU6 Activation, else
+// kNone. The fused op takes the activation layer's name.
+Epilogue FusableEpilogue(const Sequential& net, std::size_t i);
 
 }  // namespace ff::nn

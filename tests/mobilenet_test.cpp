@@ -3,6 +3,10 @@
 // determinism, preprocessing.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <map>
+#include <string>
+
 #include "dnn/feature_extractor.hpp"
 #include "dnn/mobilenet.hpp"
 #include "util/rng.hpp"
@@ -100,6 +104,35 @@ TEST(MobileNet, DifferentSeedsGiveDifferentFeatures) {
   EXPECT_GT(nn::Tensor::MaxAbsDiff(a.ForwardTo(in, "conv2_1/sep"),
                                    b.ForwardTo(in, "conv2_1/sep")),
             1e-3f);
+}
+
+TEST(MobileNet, PreActivationTapReturnsUnfusedConvOutput) {
+  nn::Sequential net = BuildMobileNetV1({.include_classifier = false});
+  nn::Tensor in(nn::Shape{2, 3, 48, 64});
+  util::Pcg32 rng(14);
+  in.FillNormal(rng, 0.5f);
+  // Reference: every layer on its own up to conv2_1/sep.
+  const std::size_t last = net.IndexOf("conv2_1/sep");
+  std::map<std::string, nn::Tensor> ref;
+  nn::Tensor x = in;
+  for (std::size_t i = 0; i <= last; ++i) {
+    x = net.layer(i).Forward(x);
+    ref[net.layer(i).name()] = x;
+  }
+  auto same = [](const nn::Tensor& a, const nn::Tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.elements()) *
+                           sizeof(float)) == 0;
+  };
+  const auto taps =
+      net.ForwardWithTaps(in, {"conv2_1/sep/conv", "conv2_1/sep"});
+  ASSERT_EQ(taps.size(), 2u);
+  EXPECT_TRUE(same(taps.at("conv2_1/sep/conv"), ref.at("conv2_1/sep/conv")));
+  EXPECT_TRUE(same(taps.at("conv2_1/sep"), ref.at("conv2_1/sep")));
+  EXPECT_LT(taps.at("conv2_1/sep/conv").Min(), 0.0f);  // really pre-ReLU
+  // The fused path (post-ReLU tap alone) produces the same bytes.
+  EXPECT_TRUE(same(net.ForwardTo(in, "conv2_1/sep"), ref.at("conv2_1/sep")));
 }
 
 TEST(FeatureExtractor, ExtractsRequestedTapsOnly) {

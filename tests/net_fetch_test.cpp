@@ -8,9 +8,12 @@
 // ranges and unknown streams come back as loud refusals, never crashes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/edge_fleet.hpp"
@@ -390,6 +393,106 @@ TEST(NetFetch, FetchAfterDetachServesRetiredArchive) {
   ASSERT_TRUE(clip.has_value());
   ExpectClipMatchesDirectFetch(*clip, *rig.fleet.edge_store(victim),
                                4, 8, 60'000, 15);
+}
+
+// Regression: a fleet sink holds the fleet lock while blocked in a full
+// UplinkClient::Enqueue, and only the pump thread can drain that queue. A
+// fetch served on the pump meanwhile must not wait for the fleet lock, or
+// neither side ever moves again.
+TEST(NetFetch, FetchWhileSinkBlockedInEnqueueDoesNotDeadlock) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kWatchdog = std::chrono::seconds(20);
+  const auto spec = FetchRig::Spec(63);
+  const video::SyntheticDataset cam(spec);
+  video::DatasetSource src(cam);
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  core::EdgeFleetConfig fcfg;
+  fcfg.edge_store_capacity = 64;
+  fcfg.upload_bitrate_bps = 60'000;
+  fcfg.max_batch = 4;
+  core::EdgeFleet fleet(fx, fcfg);
+  const core::StreamHandle stream = fleet.AddStream(src);
+  core::McSpec mc;
+  mc.mc = core::MakeMicroclassifier(
+      "full_frame", {.name = "mc", .tap = dnn::kMidTap, .seed = 64}, fx,
+      spec.height, spec.width);
+  mc.threshold = 0.0f;  // every frame uploads
+  fleet.Attach(stream, std::move(mc));
+
+  auto [edge_end, server_end] = LocalLink::MakePair();
+  UplinkConfig ucfg;
+  ucfg.fleet = kFleetId;
+  ucfg.queue_capacity = 1;
+  ucfg.window = 1;  // with no acks flowing, the queue stays full
+  UplinkClient uplink(*edge_end, ucfg);
+  uplink.SetFetchHandler(MakeFleetFetchHandler(fleet));
+  std::atomic<int> sink_calls{0};
+  auto sink = uplink.sink();
+  fleet.SetUploadSink([&](const core::UploadPacket& p) {
+    ++sink_calls;
+    sink(p);
+  });
+  DatacenterIngest ingest;
+  ingest.AddFleet(kFleetId, *server_end);
+  uplink.Start();
+
+  std::atomic<bool> run_threw{false}, run_done{false};
+  std::thread worker([&] {
+    try {
+      fleet.Run();
+    } catch (const util::CheckError&) {
+      run_threw = true;  // the watchdog stopped the uplink under it
+    }
+    run_done = true;
+  });
+  // Stops the uplink, which fails the blocked Enqueue and so releases the
+  // fleet lock, then reaps the worker: a deadlock fails the test instead of
+  // hanging it.
+  auto give_up = [&](const char* what) {
+    ADD_FAILURE() << what;
+    uplink.Stop();
+    worker.join();
+  };
+  auto wait_for = [&](auto done) {
+    const auto deadline = Clock::now() + kWatchdog;
+    while (!done()) {
+      if (Clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return true;
+  };
+
+  // The sink is past its first enqueue with the queue full and nothing
+  // acked: it is (or is about to be) blocked, holding the fleet lock.
+  if (!wait_for([&] { return sink_calls.load() >= 3; })) {
+    return give_up("the fleet never reached its third upload");
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const auto id = ingest.RequestClip(kFleetId, stream, 0, 2, 60'000, 15);
+  if (!wait_for([&] {
+        const UplinkStats st = uplink.stats();
+        return st.fetches_served + st.fetch_responses_dropped >= 1;
+      })) {
+    return give_up("fetch handler deadlocked against the blocked sink");
+  }
+
+  // Let acks flow until the fleet has finished and the uplink is idle; the
+  // re-sent request is answered on the way.
+  std::optional<FetchedClip> clip;
+  if (!wait_for([&] {
+        ingest.Pump();
+        if (!clip.has_value()) clip = ingest.TakeFetched(id);
+        return clip.has_value() && run_done.load() && uplink.idle();
+      })) {
+    return give_up("the fleet or the fetch never completed");
+  }
+  worker.join();
+  EXPECT_FALSE(run_threw.load());
+  uplink.Stop();
+  ASSERT_TRUE(clip->ok);
+  ExpectClipMatchesDirectFetch(*clip, *fleet.edge_store(stream), 0, 2, 60'000,
+                               15);
 }
 
 }  // namespace

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 #include "nn/dense.hpp"
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
@@ -149,6 +152,244 @@ TEST(DepthwiseConv2D, MatchesPerChannelNaive) {
       }
     }
   }
+}
+
+// --- Fused activation epilogue and the polyphase stride-2 path -------------
+
+// Every kernel ISA this host can run, scalar first.
+std::vector<kernels::Isa> SupportedIsas() {
+  std::vector<kernels::Isa> isas;
+  for (const auto isa :
+       {kernels::Isa::kScalar, kernels::Isa::kSse2, kernels::Isa::kAvx2}) {
+    if (kernels::TableFor(isa) != nullptr) isas.push_back(isa);
+  }
+  return isas;
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.elements()) * sizeof(float)) ==
+             0;
+}
+
+void RandomizeParams(Layer& l, std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  for (auto& p : l.Params()) {
+    for (auto& v : *p.value) v = static_cast<float>(rng.Normal(0, 0.5));
+  }
+}
+
+// A (n, c, h, w) input, optionally as an off-centre crop of a larger tensor
+// so rows are not contiguous. `storage` owns the floats behind the view.
+TensorView MakeInput(Tensor& storage, std::int64_t n, std::int64_t c,
+                     std::int64_t h, std::int64_t w, bool cropped,
+                     std::uint64_t seed) {
+  util::Pcg32 rng(seed);
+  if (!cropped) {
+    storage = Tensor(Shape{n, c, h, w});
+    storage.FillNormal(rng, 1.0f);
+    return storage;
+  }
+  storage = Tensor(Shape{n, c, h + 3, w + 5});
+  storage.FillNormal(rng, 1.0f);
+  return TensorView(storage).CropHW(tensor::Rect{1, 2, 1 + h, 2 + w});
+}
+
+struct FuseCase {
+  bool depthwise;
+  std::int64_t in_c, out_c, h, w, k, s;
+  Padding pad;
+  bool cropped;
+};
+
+std::unique_ptr<Layer> MakeConvLayer(const FuseCase& c) {
+  if (c.depthwise) {
+    return std::make_unique<DepthwiseConv2D>("dw", c.in_c, c.k, c.s, c.pad);
+  }
+  return std::make_unique<Conv2D>("conv", c.in_c, c.out_c, c.k, c.s, c.pad);
+}
+
+Tensor FusedForward(Layer& l, const TensorView& in, Epilogue ep) {
+  if (auto* conv = dynamic_cast<Conv2D*>(&l)) return conv->Forward(in, ep);
+  return dynamic_cast<DepthwiseConv2D&>(l).Forward(in, ep);
+}
+
+class FusedEpilogueTest : public ::testing::TestWithParam<FuseCase> {};
+
+TEST_P(FusedEpilogueTest, BitwiseEqualToSeparateActivationOnEveryIsa) {
+  const FuseCase c = GetParam();
+  auto conv = MakeConvLayer(c);
+  RandomizeParams(*conv, 71);
+  Tensor storage;
+  const TensorView in = MakeInput(storage, 2, c.in_c, c.h, c.w, c.cropped, 72);
+  const kernels::Isa prev = kernels::ActiveIsa();
+  for (const kernels::Isa isa : SupportedIsas()) {
+    kernels::SetActiveIsaForTest(isa);
+    for (const ActKind kind : {ActKind::kRelu, ActKind::kRelu6}) {
+      Activation act("act", kind);
+      const Tensor want = act.Forward(conv->Forward(in));
+      const Epilogue ep =
+          kind == ActKind::kRelu ? Epilogue::kRelu : Epilogue::kRelu6;
+      const Tensor got = FusedForward(*conv, in, ep);
+      EXPECT_TRUE(BitwiseEqual(got, want))
+          << (kind == ActKind::kRelu ? "relu" : "relu6") << " on "
+          << kernels::IsaName(isa);
+    }
+  }
+  kernels::SetActiveIsaForTest(prev);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, FusedEpilogueTest,
+    ::testing::Values(
+        // Pointwise: one 4-oc block plus a 2-oc remainder, dense and cropped.
+        FuseCase{false, 13, 6, 7, 9, 1, 1, Padding::kSameFloor, false},
+        FuseCase{false, 13, 6, 9, 16, 1, 1, Padding::kSameFloor, true},
+        // KxK at stride 1 and 2 across every padding mode.
+        FuseCase{false, 3, 7, 7, 9, 3, 1, Padding::kSameFloor, false},
+        FuseCase{false, 3, 7, 9, 16, 3, 2, Padding::kSameFloor, true},
+        FuseCase{false, 4, 6, 7, 9, 3, 2, Padding::kSameCeil, false},
+        FuseCase{false, 4, 5, 9, 16, 3, 1, Padding::kValid, true},
+        FuseCase{false, 2, 9, 9, 16, 3, 2, Padding::kValid, false},
+        // Large enough to fan out over the thread pool.
+        FuseCase{false, 16, 12, 9, 16, 3, 1, Padding::kSameCeil, false},
+        // Depthwise at stride 1 and 2.
+        FuseCase{true, 5, 5, 7, 9, 3, 1, Padding::kSameFloor, false},
+        FuseCase{true, 5, 5, 9, 16, 3, 2, Padding::kSameFloor, true},
+        FuseCase{true, 6, 6, 7, 9, 3, 2, Padding::kSameCeil, true},
+        FuseCase{true, 6, 6, 9, 16, 3, 1, Padding::kValid, false},
+        FuseCase{true, 64, 64, 9, 16, 3, 2, Padding::kSameFloor, false}));
+
+TEST(FusedEpilogue, RejectedInTrainingMode) {
+  Conv2D conv("c", 2, 3, 3, 1, Padding::kSameCeil);
+  conv.set_training(true);
+  Tensor in(Shape{1, 2, 5, 5});
+  EXPECT_THROW(conv.Forward(in, Epilogue::kRelu), util::CheckError);
+}
+
+// The stride-2 reference: one float rounding per tap, folded bias -> ic ->
+// ky -> kx, exactly the per-element order the layers promise. Weights and
+// biases are never zero here, so the layers' zero-weight skip is moot.
+Tensor NaiveStride2(const TensorView& in, const std::vector<float>& w,
+                    const std::vector<float>& b, std::int64_t out_c,
+                    std::int64_t k, Padding pad, bool depthwise) {
+  const auto gy = ComputeAxisGeometry(in.shape().h, k, 2, pad);
+  const auto gx = ComputeAxisGeometry(in.shape().w, k, 2, pad);
+  const std::int64_t in_c = in.shape().c;
+  Tensor out(Shape{in.shape().n, out_c, gy.out, gx.out});
+  for (std::int64_t n = 0; n < in.shape().n; ++n) {
+    for (std::int64_t oc = 0; oc < out_c; ++oc) {
+      const std::int64_t ic0 = depthwise ? oc : 0;
+      const std::int64_t ic1 = depthwise ? oc + 1 : in_c;
+      for (std::int64_t oy = 0; oy < gy.out; ++oy) {
+        for (std::int64_t ox = 0; ox < gx.out; ++ox) {
+          float acc = b[static_cast<std::size_t>(oc)];
+          for (std::int64_t ic = ic0; ic < ic1; ++ic) {
+            const float* wk =
+                &w[static_cast<std::size_t>(
+                    (depthwise ? oc : oc * in_c + ic) * k * k)];
+            for (std::int64_t ky = 0; ky < k; ++ky) {
+              for (std::int64_t kx = 0; kx < k; ++kx) {
+                const std::int64_t iy = oy * 2 + ky - gy.pad_begin;
+                const std::int64_t ix = ox * 2 + kx - gx.pad_begin;
+                if (iy < 0 || iy >= in.shape().h || ix < 0 ||
+                    ix >= in.shape().w) {
+                  continue;
+                }
+                const float prod = wk[ky * k + kx] * in.at(n, ic, iy, ix);
+                acc = acc + prod;
+              }
+            }
+          }
+          out.at(n, oc, oy, ox) = acc;
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(PolyphaseStride2, ConvAndDepthwiseMatchNaiveLoopBitwise) {
+  const kernels::Isa prev = kernels::ActiveIsa();
+  for (const kernels::Isa isa : SupportedIsas()) {
+    kernels::SetActiveIsaForTest(isa);
+    for (const bool depthwise : {false, true}) {
+      for (const std::int64_t ih : {8, 9}) {
+        for (const std::int64_t iw : {10, 13}) {
+          for (const Padding pad :
+               {Padding::kSameFloor, Padding::kSameCeil, Padding::kValid}) {
+            for (const bool cropped : {false, true}) {
+              const std::int64_t in_c = depthwise ? 5 : 3;
+              const std::int64_t out_c = depthwise ? 5 : 7;
+              const FuseCase c{depthwise, in_c, out_c, ih,    iw,
+                               3,         2,    pad,   cropped};
+              auto conv = MakeConvLayer(c);
+              RandomizeParams(*conv, 80 + static_cast<std::uint64_t>(ih * iw));
+              const auto params = conv->Params();
+              Tensor storage;
+              const TensorView in =
+                  MakeInput(storage, 2, in_c, ih, iw, cropped, 81);
+              const Tensor want =
+                  NaiveStride2(in, *params[0].value, *params[1].value, out_c,
+                               3, pad, depthwise);
+              EXPECT_TRUE(BitwiseEqual(conv->Forward(in), want))
+                  << (depthwise ? "depthwise" : "conv") << " " << ih << "x"
+                  << iw << " pad " << static_cast<int>(pad)
+                  << (cropped ? " cropped" : "") << " on "
+                  << kernels::IsaName(isa);
+            }
+          }
+        }
+      }
+    }
+  }
+  kernels::SetActiveIsaForTest(prev);
+}
+
+TEST(Sequential, FusesConvReluPairsOnlyInInference) {
+  Sequential net("t");
+  net.Add(std::make_unique<Conv2D>("c1", 3, 6, 3, 2, Padding::kSameFloor));
+  net.Add(MakeRelu("r1"));
+  net.Add(
+      std::make_unique<DepthwiseConv2D>("d2", 6, 3, 1, Padding::kSameFloor));
+  net.Add(MakeRelu6("r2"));
+  net.Add(std::make_unique<Conv2D>("c3", 6, 5, 1, 1, Padding::kSameFloor));
+  net.Add(MakeSigmoid("s3"));
+  HeInit(net, 12);
+  Tensor in(Shape{2, 3, 9, 16});
+  util::Pcg32 rng(13);
+  in.FillNormal(rng, 1.0f);
+
+  // Layer by layer, nothing fused.
+  std::vector<Tensor> ref;
+  Tensor x = net.layer(0).Forward(in);
+  ref.push_back(x);
+  for (std::size_t i = 1; i < net.n_layers(); ++i) {
+    x = net.layer(i).Forward(x);
+    ref.push_back(x);
+  }
+  EXPECT_EQ(FusableEpilogue(net, 0), Epilogue::kRelu);
+  EXPECT_EQ(FusableEpilogue(net, 2), Epilogue::kRelu6);
+  EXPECT_EQ(FusableEpilogue(net, 4), Epilogue::kNone);  // sigmoid
+  EXPECT_EQ(FusableEpilogue(net, 5), Epilogue::kNone);  // last layer
+
+  EXPECT_TRUE(BitwiseEqual(net.Forward(in), ref[5]));
+  EXPECT_TRUE(BitwiseEqual(net.ForwardTo(in, "r2"), ref[3]));
+  EXPECT_TRUE(BitwiseEqual(net.ForwardTo(in, "c1"), ref[0]));
+  EXPECT_TRUE(BitwiseEqual(net.ForwardRange(ref[1], 2, 4), ref[3]));
+  // A tapped pre-activation blob stops its pair from fusing; the
+  // activation tap beside it is unchanged.
+  const auto taps = net.ForwardWithTaps(in, {"c1", "r1", "r2"});
+  ASSERT_EQ(taps.size(), 3u);
+  EXPECT_TRUE(BitwiseEqual(taps.at("c1"), ref[0]));
+  EXPECT_TRUE(BitwiseEqual(taps.at("r1"), ref[1]));
+  EXPECT_TRUE(BitwiseEqual(taps.at("r2"), ref[3]));
+
+  // Training mode runs every layer on its own, so Backward still works.
+  net.SetTraining(true);
+  EXPECT_TRUE(BitwiseEqual(net.Forward(in), ref[5]));
+  EXPECT_NO_THROW(net.Backward(Tensor(ref[5].shape(), 1.0f)));
 }
 
 TEST(FullyConnected, ComputesAffineMap) {
