@@ -1382,6 +1382,12 @@ void EdgeFleet::ArchiveThreadMain() {
   // Single consumer: per-stream append order is exactly the order the
   // compute stage emitted, which is batch order — the same order the
   // synchronous schedule archives in.
+  //
+  // The success path never waits for mu_: the compute stage holds it for a
+  // whole batch, and a writer parked on it would encode in series with the
+  // trunk instead of alongside it. Only the last decrement to zero takes
+  // the lock, to notify. WaitPipelineIdle reads the count under mu_, so it
+  // either sees zero or is already waiting when that notify lands.
   while (auto item = archive_queue_->Pop()) {
     try {
       item->store->Archive(item->frame, item->ts_ns, item->force_keyframe);
@@ -1396,9 +1402,10 @@ void EdgeFleet::ArchiveThreadMain() {
       // surfaces at StopPipeline.
       continue;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    --archive_in_flight_;
-    idle_cv_.notify_all();
+    if (archive_in_flight_.fetch_sub(1) == 1) {
+      std::lock_guard<std::mutex> lock(mu_);
+      idle_cv_.notify_all();
+    }
   }
 }
 

@@ -95,6 +95,7 @@
 // and the current keep-every cadence.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <limits>
@@ -823,13 +824,16 @@ class EdgeFleet {
   std::unique_ptr<XcamPlane> xcam_;
   CrossEventSink cross_event_sink_;
 
-  // Pipeline state (all guarded by mu_; the hand-off queue has its own
-  // internal lock and is only ever pushed/popped with mu_ released).
+  // Pipeline state (guarded by mu_ unless atomic; the hand-off queue has its
+  // own internal lock and is only ever pushed/popped with mu_ released).
   mutable std::mutex mu_;
   std::thread prefetch_thread_, compute_thread_, archive_thread_;
   std::unique_ptr<util::BoundedQueue<StagedBatch>> hand_off_;
   std::unique_ptr<util::BoundedQueue<ArchiveItem>> archive_queue_;
-  std::int64_t archive_in_flight_ = 0;  // items queued but not yet appended
+  // Items queued but not yet appended. Atomic so the writer never takes mu_
+  // for a decrement while the compute stage holds it for a whole batch; it
+  // locks only on the transition to zero, to wake WaitPipelineIdle.
+  std::atomic<std::int64_t> archive_in_flight_{0};
   bool pipeline_active_ = false;
   bool pipeline_stop_ = false;
   bool prefetch_idle_ = false;    // stage A parked with nothing to do

@@ -51,7 +51,7 @@ void ApplyRuns(const TensorView& in, Tensor& out,
 }  // namespace
 
 Tensor Activation::Forward(const TensorView& in) {
-  Tensor out(in.shape());
+  Tensor out = Tensor::Uninitialized(in.shape());
   switch (kind_) {
     case ActKind::kRelu:
       ApplyRuns(in, out, kernels::Active().relu);

@@ -199,7 +199,7 @@ Tensor Conv2D::Forward(const TensorView& in, Epilogue ep) {
   FF_CHECK_MSG(!training_ || ep == Epilogue::kNone,
                name() << ": a fused epilogue is inference-only");
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);  // every block Fills
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
   const AxisGeometry gx = ComputeAxisGeometry(in.shape().w, k_, stride_, pad_);
   const std::int64_t batch = in.shape().n;
@@ -471,7 +471,7 @@ Tensor DepthwiseConv2D::Forward(const TensorView& in, Epilogue ep) {
   FF_CHECK_MSG(!training_ || ep == Epilogue::kNone,
                name() << ": a fused epilogue is inference-only");
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);  // every block Fills
   const AxisGeometry gy = ComputeAxisGeometry(in.shape().h, k_, stride_, pad_);
   const AxisGeometry gx = ComputeAxisGeometry(in.shape().w, k_, stride_, pad_);
   const std::int64_t ih = in.shape().h, iw = in.shape().w;

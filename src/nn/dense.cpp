@@ -27,7 +27,7 @@ Shape FullyConnected::OutputShape(const Shape& in) const {
 
 Tensor FullyConnected::Forward(const TensorView& in) {
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   // The dot products need each image as one dense run; views arriving here
   // are virtually always dense already (FCs follow materializing layers).
   Tensor staged;

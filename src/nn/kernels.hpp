@@ -301,22 +301,29 @@ inline bool WorthParallel(std::int64_t flops) {
 // space, fanned out across util::GlobalPool() when `total_flops` clears the
 // shared threshold — the one dispatch policy conv, depthwise, and the
 // pooling layers all follow. Batched inputs widen the fan-out to
-// n × channels instead of channels alone.
+// n × channels instead of channels alone. The pool hands out whole groups
+// of kPlaneGroup channels, so every block starts on a multiple of
+// kPlaneGroup and only a layer's last group is ever short: a chunk edge
+// never splits the 4-channel PwAcc4/Axpy4Rows blocks into 1-channel
+// remainders.
+inline constexpr std::int64_t kPlaneGroup = 4;
+
 template <typename Block>
 void ForEachPlaneBlock(std::int64_t batch, std::int64_t channels,
                        std::int64_t total_flops, const Block& block) {
   if (WorthParallel(total_flops)) {
+    const std::int64_t groups = (channels + kPlaneGroup - 1) / kPlaneGroup;
     util::GlobalPool().ParallelForRange(
-        static_cast<std::size_t>(batch * channels),
+        static_cast<std::size_t>(batch * groups),
         [&](std::size_t b, std::size_t e) {
           for (auto idx = static_cast<std::int64_t>(b);
                idx < static_cast<std::int64_t>(e);) {
-            const std::int64_t n = idx / channels;
-            const std::int64_t c0 = idx % channels;
-            const std::int64_t c1 =
-                std::min(channels, c0 + (static_cast<std::int64_t>(e) - idx));
-            block(n, c0, c1);
-            idx += c1 - c0;
+            const std::int64_t n = idx / groups;
+            const std::int64_t g0 = idx % groups;
+            const std::int64_t g1 =
+                std::min(groups, g0 + (static_cast<std::int64_t>(e) - idx));
+            block(n, g0 * kPlaneGroup, std::min(channels, g1 * kPlaneGroup));
+            idx += g1 - g0;
           }
         });
   } else {

@@ -28,7 +28,7 @@ Shape MaxPool2D::OutputShape(const Shape& in) const {
 
 Tensor MaxPool2D::Forward(const TensorView& in) {
   const Shape out_shape = OutputShape(in.shape());
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   if (training_) {
     // argmax_ stores flat dense-plane indices; training inputs are always
     // owning (dense) tensors, never cropped views.
@@ -90,7 +90,7 @@ Tensor MaxPool2D::Backward(const Tensor& grad_out) {
 }
 
 Tensor GlobalAvgPool::Forward(const TensorView& in) {
-  Tensor out(OutputShape(in.shape()));
+  Tensor out = Tensor::Uninitialized(OutputShape(in.shape()));
   const std::int64_t h = in.shape().h, w = in.shape().w;
   ForEachPlane(in.shape().n, in.shape().c,
                in.shape().n * in.shape().c * h * w,
@@ -125,7 +125,7 @@ Tensor GlobalAvgPool::Backward(const Tensor& grad_out) {
 }
 
 Tensor GlobalMaxPool::Forward(const TensorView& in) {
-  Tensor out(OutputShape(in.shape()));
+  Tensor out = Tensor::Uninitialized(OutputShape(in.shape()));
   const std::int64_t h = in.shape().h, w = in.shape().w;
   if (training_) {
     FF_CHECK_MSG(in.plane_contiguous(),

@@ -1,5 +1,7 @@
 #include "nn/sequential.hpp"
 
+#include <utility>
+
 #include "nn/activations.hpp"
 #include "nn/conv.hpp"
 
@@ -74,7 +76,15 @@ Tensor Sequential::Run(const TensorView& in, std::size_t begin,
     } else {
       x = l.Forward(src);
     }
-    if (is_tap(*layers_[i])) (*tapped)[layers_[i]->name()] = x;
+    if (is_tap(*layers_[i])) {
+      // The last layer's output is only ever a tap (ForwardWithTaps drops
+      // the return value): move it rather than copy it.
+      if (i + 1 == end) {
+        (*tapped)[layers_[i]->name()] = std::move(x);
+      } else {
+        (*tapped)[layers_[i]->name()] = x;
+      }
+    }
     ++i;
   }
   return x;

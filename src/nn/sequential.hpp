@@ -88,6 +88,8 @@ class Sequential {
   // The one forward loop behind Forward/ForwardTo/ForwardRange/
   // ForwardWithTaps: runs layers [begin, end), fusing activation pairs,
   // and stores the output of every layer named in `taps` into `*tapped`.
+  // When layer end-1 is itself a tap its output is moved into `*tapped`
+  // and the returned tensor is empty.
   Tensor Run(const TensorView& in, std::size_t begin, std::size_t end,
              const std::set<std::string>* taps,
              std::map<std::string, Tensor>* tapped);

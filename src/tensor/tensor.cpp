@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <ostream>
 
 namespace ff::tensor {
@@ -11,11 +12,21 @@ Tensor::Tensor(const Shape& shape, float fill)
     : shape_(shape),
       data_(static_cast<std::size_t>(shape.elements()), fill) {}
 
+Tensor Tensor::Uninitialized(const Shape& shape) {
+  Tensor t;
+  t.shape_ = shape;
+  t.data_.resize(static_cast<std::size_t>(shape.elements()));
+#ifndef NDEBUG
+  t.Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+  return t;
+}
+
 Tensor Tensor::FromData(const Shape& shape, std::vector<float> data) {
   FF_CHECK_EQ(shape.elements(), static_cast<std::int64_t>(data.size()));
   Tensor t;
   t.shape_ = shape;
-  t.data_ = std::move(data);
+  t.data_.assign(data.begin(), data.end());
   return t;
 }
 
@@ -56,7 +67,8 @@ Tensor Tensor::CropHW(const Rect& r) const {
   FF_CHECK_MSG(r.y0 >= 0 && r.x0 >= 0 && r.y1 <= shape_.h && r.x1 <= shape_.w &&
                    !r.empty(),
                "crop " << r.ToString() << " out of range for " << shape_);
-  Tensor out(Shape{shape_.n, shape_.c, r.height(), r.width()});
+  Tensor out =
+      Uninitialized(Shape{shape_.n, shape_.c, r.height(), r.width()});
   for (std::int64_t n = 0; n < shape_.n; ++n) {
     for (std::int64_t c = 0; c < shape_.c; ++c) {
       const float* src = plane(n, c);
@@ -80,7 +92,7 @@ Tensor Tensor::ConcatChannels(std::span<const Tensor* const> parts) {
     FF_CHECK_EQ(p->shape().w, first.w);
     total_c += p->shape().c;
   }
-  Tensor out(Shape{first.n, total_c, first.h, first.w});
+  Tensor out = Uninitialized(Shape{first.n, total_c, first.h, first.w});
   for (std::int64_t n = 0; n < first.n; ++n) {
     std::int64_t c_off = 0;
     for (const Tensor* p : parts) {
@@ -95,7 +107,7 @@ Tensor Tensor::ConcatChannels(std::span<const Tensor* const> parts) {
 
 Tensor Tensor::Slice(std::int64_t n) const {
   FF_CHECK(n >= 0 && n < shape_.n);
-  Tensor out(Shape{1, shape_.c, shape_.h, shape_.w});
+  Tensor out = Uninitialized(Shape{1, shape_.c, shape_.h, shape_.w});
   std::memcpy(out.data(), plane(n, 0),
               static_cast<std::size_t>(shape_.per_image()) * sizeof(float));
   return out;
@@ -105,8 +117,8 @@ Tensor Tensor::Stack(std::span<const Tensor* const> images) {
   FF_CHECK(!images.empty());
   const Shape& first = images[0]->shape();
   FF_CHECK_EQ(first.n, 1);
-  Tensor out(Shape{static_cast<std::int64_t>(images.size()), first.c, first.h,
-                   first.w});
+  Tensor out = Uninitialized(Shape{static_cast<std::int64_t>(images.size()),
+                                   first.c, first.h, first.w});
   for (std::size_t i = 0; i < images.size(); ++i) {
     FF_CHECK(images[i]->shape() == first);
     std::memcpy(out.plane(static_cast<std::int64_t>(i), 0), images[i]->data(),

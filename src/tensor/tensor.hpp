@@ -6,7 +6,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "tensor/shape.hpp"
@@ -18,6 +20,12 @@ class Tensor {
  public:
   Tensor() = default;
   explicit Tensor(const Shape& shape, float fill = 0.0f);
+
+  // A tensor whose elements are NOT initialised, for outputs the caller
+  // overwrites in full before anyone reads them (layer forwards, copies).
+  // Debug builds fill it with quiet NaN, so an element left unwritten
+  // poisons every result downstream instead of reading as a plausible 0.
+  static Tensor Uninitialized(const Shape& shape);
 
   static Tensor FromData(const Shape& shape, std::vector<float> data);
 
@@ -76,8 +84,28 @@ class Tensor {
   static bool AllClose(const Tensor& a, const Tensor& b, float atol = 1e-5f);
 
  private:
+  // std::allocator, except that an element constructed without a value is
+  // left uninitialised rather than zeroed (what Uninitialized relies on).
+  // Copies, fills and resizes with a value behave as with std::allocator.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Tensor& t);

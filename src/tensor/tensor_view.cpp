@@ -59,7 +59,7 @@ Tensor TensorView::Materialize() const { return Materialize(shape_); }
 
 Tensor TensorView::Materialize(const Shape& as) const {
   FF_CHECK_EQ(as.elements(), shape_.elements());
-  Tensor out(as);
+  Tensor out = Tensor::Uninitialized(as);
   float* dst = out.data();
   if (contiguous()) {
     std::memcpy(dst, base_,

@@ -1,8 +1,10 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 
 #include "util/check.hpp"
 #include "util/env.hpp"
@@ -49,76 +51,93 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
+void ThreadPool::SubmitCopies(std::size_t copies,
+                              const std::function<void()>& task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push(std::move(task));
+    for (std::size_t i = 0; i < copies; ++i) tasks_.push(task);
   }
-  cv_.notify_one();
+  if (copies >= workers_.size()) {
+    cv_.notify_all();
+  } else {
+    for (std::size_t i = 0; i < copies; ++i) cv_.notify_one();
+  }
 }
+
+namespace {
+
+// One ParallelForRange call, shared by its caller and the helper tasks it
+// queued. Ref-counted: the caller returns as soon as every chunk is done, so
+// a helper that is dequeued late (its worker was busy elsewhere) finds no
+// chunk left and touches only this state, never `fn` or the caller's stack.
+struct RangeJob {
+  const ThreadPool* pool = nullptr;
+  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+  std::size_t n = 0;
+  std::size_t chunk = 0;
+  std::size_t n_chunks = 0;
+  std::atomic<std::size_t> next{0};  // next unclaimed chunk
+  std::atomic<std::size_t> done{0};  // chunks finished
+  std::mutex mu;                     // guards error; pairs with done_cv
+  std::condition_variable done_cv;
+  std::exception_ptr error;
+
+  // Claims and runs chunks until none is left.
+  void Drain() {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1);
+      if (c >= n_chunks) return;
+      const std::size_t begin = c * chunk;
+      const ThreadPool* prev = tl_active_pool;
+      tl_active_pool = pool;
+      try {
+        (*fn)(begin, std::min(n, begin + chunk));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!error) error = std::current_exception();
+      }
+      tl_active_pool = prev;
+      if (done.fetch_add(1) + 1 == n_chunks) {
+        // Notify under the mutex so the caller cannot test `done`, miss
+        // this increment and then sleep through the notification.
+        std::lock_guard<std::mutex> lock(mu);
+        done_cv.notify_all();
+      }
+    }
+  }
+};
+
+// Chunks per participating thread: enough that a descheduled worker holds
+// up a small slice of the range rather than a whole 1/threads of it.
+constexpr std::size_t kChunksPerThread = 4;
+
+}  // namespace
 
 void ThreadPool::ParallelForRange(
     std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   // Nested call from inside one of this pool's own chunks: every worker may
   // already be busy on the outer dispatch, so queued sub-tasks could never
-  // start. Run inline instead.
-  if (tl_active_pool == this) {
+  // start. Run inline instead (as a single index always is).
+  if (tl_active_pool == this || n == 1) {
     fn(0, n);
     return;
   }
-  const std::size_t n_chunks = std::min(n, workers_.size() + 1);
-  if (n_chunks <= 1) {
-    fn(0, n);
-    return;
-  }
-  struct Shared {
-    std::atomic<std::size_t> remaining;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-    std::exception_ptr error;
-    std::mutex error_mu;
-  } shared;
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  // Ceil rounding can leave trailing chunks with no work (e.g. n = 9 over 8
-  // chunks gives chunk = 2 and only 5 non-empty chunks); dispatch only the
-  // live ones rather than queueing no-op tasks on the hot path.
-  const std::size_t n_live = (n + chunk - 1) / chunk;
-  // The calling thread runs the last chunk itself, so only n_live - 1 tasks
-  // are submitted to workers.
-  shared.remaining.store(n_live - 1);
-  auto run_chunk = [&](std::size_t begin, std::size_t end) {
-    const ThreadPool* prev = tl_active_pool;
-    tl_active_pool = this;
-    try {
-      fn(begin, end);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(shared.error_mu);
-      if (!shared.error) shared.error = std::current_exception();
-    }
-    tl_active_pool = prev;
-  };
+  auto job = std::make_shared<RangeJob>();
+  job->pool = this;
+  job->fn = &fn;
+  job->n = n;
+  job->chunk = (n + kChunksPerThread * (workers_.size() + 1) - 1) /
+               (kChunksPerThread * (workers_.size() + 1));
+  // Ceil rounding can leave trailing chunks empty; count only live ones.
+  job->n_chunks = (n + job->chunk - 1) / job->chunk;
+  SubmitCopies(std::min(workers_.size(), job->n_chunks - 1),
+               [job] { job->Drain(); });
+  job->Drain();
 
-  for (std::size_t c = 0; c + 1 < n_live; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    Submit([&, begin, end] {
-      run_chunk(begin, end);
-      // Decrement and notify under the mutex: if the decrement happened
-      // outside, the waiter could observe remaining == 0, return, and
-      // destroy `shared` before this thread touches done_mu/done_cv.
-      {
-        std::lock_guard<std::mutex> lock(shared.done_mu);
-        shared.remaining.fetch_sub(1);
-        shared.done_cv.notify_one();
-      }
-    });
-  }
-  run_chunk((n_live - 1) * chunk, n);
-
-  std::unique_lock<std::mutex> lock(shared.done_mu);
-  shared.done_cv.wait(lock, [&] { return shared.remaining.load() == 0; });
-  if (shared.error) std::rethrow_exception(shared.error);
+  std::unique_lock<std::mutex> lock(job->mu);
+  job->done_cv.wait(lock, [&] { return job->done.load() == job->n_chunks; });
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 void ThreadPool::ParallelFor(std::size_t n,

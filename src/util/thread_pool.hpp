@@ -9,6 +9,12 @@
 // creation per call. ParallelFor is synchronous: it returns only when every
 // index has been processed, which keeps layer semantics simple.
 //
+// The range is cut into a few chunks per thread, and the calling thread and
+// the helper tasks it queues claim them from a shared atomic index. The
+// caller waits for its chunks, not for its helpers: a helper whose worker
+// was busy (or descheduled) starts late, finds nothing left and exits, so
+// one stalled worker delays a layer by at most one small chunk.
+//
 // Nested dispatch runs serial: a ParallelFor issued from inside a chunk of a
 // ParallelFor on the same pool executes its body inline on the calling
 // thread. This makes layered parallelism compose safely — the edge node fans
@@ -120,9 +126,9 @@ class ThreadPool {
 
   std::size_t size() const { return workers_.size(); }
 
-  // Runs fn(i) for i in [0, n). Work is split into contiguous chunks, one per
-  // worker (plus the calling thread). Exceptions from fn propagate to the
-  // caller (first one wins).
+  // Runs fn(i) for i in [0, n). Work is split into contiguous chunks claimed
+  // dynamically by the calling thread and the workers. Exceptions from fn
+  // propagate to the caller (first one wins); every chunk still runs.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Runs fn(begin, end) over contiguous ranges — cheaper than per-index
@@ -133,7 +139,8 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  void Submit(std::function<void()> task);
+  // Queues `copies` copies of `task` under one lock acquisition.
+  void SubmitCopies(std::size_t copies, const std::function<void()>& task);
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;

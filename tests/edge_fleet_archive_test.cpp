@@ -5,21 +5,26 @@
 // synchronous one, (b) AddStream/RemoveStream churn mid-run keeps every
 // archive consistent, (c) a removed stream's archive remains fetchable
 // (fetch-after-detach via the retired-store registry), and (d) a fleet
-// archive survives fleet destruction and reopens clean.
+// archive survives fleet destruction and reopens clean, and (e) the
+// archive writer keeps appending while the compute stage holds the fleet
+// lock.
 //
 // This suite runs under the CI ThreadSanitizer leg.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
 
 #include "core/edge_fleet.hpp"
 #include "core/edge_store.hpp"
+#include "core/microclassifier.hpp"
 #include "util/check.hpp"
 #include "video/dataset.hpp"
 #include "video/source.hpp"
@@ -230,6 +235,67 @@ TEST(EdgeFleetArchive, InRamCapacityArchivingWorksPipelined) {
   EXPECT_EQ(fleet.edge_store(s)->end_available(), 15);
   EXPECT_EQ(fleet.edge_store(s)->first_available(), 9);
   EXPECT_FALSE(fleet.edge_store(s)->recovery().has_value());
+}
+
+// (e) The writer appends while the compute stage holds the fleet lock for a
+// whole batch. A decision sink (sinks fire under that lock) parks the
+// compute stage until the writer has appended three frames. A writer that
+// took the lock after every append would stay parked behind the sink
+// after its first append, and the watchdog would expire.
+TEST(EdgeFleetArchive, WriterAppendsWhileComputeStageHoldsTheFleetLock) {
+  constexpr std::int64_t kFrames = 16;
+  TempDir dir("lock");
+  dnn::FeatureExtractor fx({.include_classifier = false});
+  EdgeFleetConfig cfg;
+  cfg.enable_upload = false;
+  cfg.archive_dir = dir.str();
+  cfg.max_batch = 4;
+  cfg.queue_capacity = kFrames;
+  EdgeFleet fleet(fx, cfg);
+  const StreamHandle s = fleet.AddStream({.frame_width = 128,
+                                          .frame_height = 96,
+                                          .fps = 15});
+  // Taken before the pipeline starts: edge_store_shared never takes the
+  // fleet lock, but the sink must not call into the fleet at all.
+  const std::shared_ptr<EdgeStore> store = fleet.edge_store_shared(s);
+
+  // Written on the compute thread, read after StopPipeline joined it.
+  bool waited = false;
+  bool on_compute_thread = false;
+  std::int64_t seen = 0;
+  const std::thread::id test_thread = std::this_thread::get_id();
+  McSpec spec{.mc = MakeMicroclassifier("localized",
+                                        {.name = "lock", .seed = 41}, fx, 96,
+                                        128)};
+  spec.on_decision = [&](const McDecision& d) {
+    // Frame 4 is in the second batch: the first batch's four archive
+    // appends are queued by the time its decision fires.
+    if (waited || d.frame_index < 4) return;
+    waited = true;
+    on_compute_thread = std::this_thread::get_id() != test_thread;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (store->end_available() < 3 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    seen = store->end_available();
+  };
+  fleet.Attach(s, std::move(spec));
+  for (std::int64_t i = 0; i < kFrames; ++i) {
+    fleet.Push(s, PushFrame(128, 96, i));
+  }
+
+  fleet.StartPipeline();
+  fleet.WaitPipelineIdle();
+  // Idle means no append is in flight: every frame is already archived.
+  EXPECT_EQ(store->end_available(), kFrames);
+  fleet.StopPipeline();
+  fleet.Drain();
+  ASSERT_TRUE(waited);
+  EXPECT_TRUE(on_compute_thread);
+  EXPECT_GE(seen, 3) << "archive writer stalled behind the fleet lock";
+  EXPECT_EQ(store->end_available(), kFrames);
 }
 
 }  // namespace

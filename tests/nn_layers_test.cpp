@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "nn/activations.hpp"
@@ -341,6 +343,73 @@ TEST(PolyphaseStride2, ConvAndDepthwiseMatchNaiveLoopBitwise) {
             }
           }
         }
+      }
+    }
+  }
+  kernels::SetActiveIsaForTest(prev);
+}
+
+// Layer outputs are allocated uninitialised (Debug builds fill them with
+// quiet NaN), so an element a forward pass forgets to write shows up here
+// as a NaN. Every layer that allocates its output that way, on finite
+// inputs at odd shapes, dense and cropped, serial and pool-dispatched
+// sizes, on every ISA.
+bool AnyNan(const Tensor& t) {
+  for (const float v : t.flat()) {
+    if (std::isnan(v)) return true;
+  }
+  return false;
+}
+
+TEST(UninitializedOutputs, EveryLayerWritesEveryElementOnEveryIsa) {
+  const kernels::Isa prev = kernels::ActiveIsa();
+  for (const kernels::Isa isa : SupportedIsas()) {
+    kernels::SetActiveIsaForTest(isa);
+    for (const bool cropped : {false, true}) {
+      // 7 channels: one 4-channel group plus a 3-channel tail. 23 channels
+      // at 9x17 clear the pool-dispatch threshold for every conv here.
+      for (const std::int64_t c : {7, 23}) {
+        const std::int64_t h = c == 7 ? 5 : 9, w = c == 7 ? 7 : 17;
+        Tensor storage;
+        const TensorView in = MakeInput(storage, 3, c, h, w, cropped, 90);
+        const std::string where = std::string(kernels::IsaName(isa)) +
+                                  (cropped ? " cropped" : " dense") +
+                                  " c=" + std::to_string(c);
+        std::vector<std::unique_ptr<Layer>> convs;
+        convs.push_back(std::make_unique<Conv2D>("pw", c, c + 2, 1, 1,
+                                                 Padding::kSameFloor));
+        convs.push_back(std::make_unique<Conv2D>("k3s1", c, c - 2, 3, 1,
+                                                 Padding::kSameCeil));
+        convs.push_back(std::make_unique<Conv2D>("k3s2", c, c + 1, 3, 2,
+                                                 Padding::kSameFloor));
+        convs.push_back(std::make_unique<DepthwiseConv2D>(
+            "dws1", c, 3, 1, Padding::kSameFloor));
+        convs.push_back(std::make_unique<DepthwiseConv2D>(
+            "dws2", c, 3, 2, Padding::kValid));
+        for (auto& conv : convs) {
+          RandomizeParams(*conv, 91);
+          for (const Epilogue ep :
+               {Epilogue::kNone, Epilogue::kRelu, Epilogue::kRelu6}) {
+            EXPECT_FALSE(AnyNan(FusedForward(*conv, in, ep)))
+                << conv->name() << " epilogue " << static_cast<int>(ep)
+                << " " << where;
+          }
+        }
+        for (const ActKind kind :
+             {ActKind::kRelu, ActKind::kRelu6, ActKind::kSigmoid}) {
+          Activation act("act", kind);
+          EXPECT_FALSE(AnyNan(act.Forward(in)))
+              << "activation " << static_cast<int>(kind) << " " << where;
+        }
+        MaxPool2D max_pool("max", 2, 2);
+        EXPECT_FALSE(AnyNan(max_pool.Forward(in))) << "maxpool " << where;
+        GlobalAvgPool avg("gap");
+        EXPECT_FALSE(AnyNan(avg.Forward(in))) << "gap " << where;
+        GlobalMaxPool gmax("gmp");
+        EXPECT_FALSE(AnyNan(gmax.Forward(in))) << "gmp " << where;
+        FullyConnected fc("fc", c * h * w, 5);
+        RandomizeParams(fc, 92);
+        EXPECT_FALSE(AnyNan(fc.Forward(in))) << "fc " << where;
       }
     }
   }

@@ -1,7 +1,10 @@
 // Unit tests for ff::tensor — shapes, element access, crops, concat, stack.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "tensor/tensor.hpp"
+#include "tensor/tensor_view.hpp"
 #include "util/check.hpp"
 
 namespace ff::tensor {
@@ -161,6 +164,43 @@ TEST(Tensor, FillUniformWithinBounds) {
   t.FillUniform(rng, -0.5f, 0.5f);
   EXPECT_GE(t.Min(), -0.5f);
   EXPECT_LT(t.Max(), 0.5f);
+}
+
+TEST(Tensor, UninitializedHasShapeAndPoisonsDebugBuilds) {
+  const Tensor t = Tensor::Uninitialized(Shape{2, 3, 5, 7});
+  EXPECT_EQ(t.shape(), (Shape{2, 3, 5, 7}));
+  EXPECT_EQ(static_cast<std::int64_t>(t.flat().size()), 2 * 3 * 5 * 7);
+#ifndef NDEBUG
+  for (const float v : t.flat()) ASSERT_TRUE(std::isnan(v));
+#endif
+}
+
+// The copy helpers allocate their results uninitialised: each must write
+// every element (a Debug build would leave NaN behind otherwise).
+TEST(Tensor, CopyHelpersWriteEveryElement) {
+  util::Pcg32 rng(5);
+  Tensor t(Shape{3, 5, 7, 9});
+  t.FillNormal(rng, 1.0f);
+  auto expect_finite = [](const Tensor& x, const char* what) {
+    for (const float v : x.flat()) {
+      ASSERT_FALSE(std::isnan(v)) << what;
+    }
+  };
+  const Tensor crop = t.CropHW(Rect{1, 2, 6, 7});
+  expect_finite(crop, "CropHW");
+  EXPECT_FLOAT_EQ(crop.at(2, 4, 4, 4), t.at(2, 4, 5, 6));
+  const Tensor* parts[] = {&t, &t};
+  expect_finite(Tensor::ConcatChannels(parts), "ConcatChannels");
+  const Tensor s2 = t.Slice(2);
+  expect_finite(s2, "Slice");
+  const Tensor* images[] = {&s2, &s2, &s2};
+  expect_finite(Tensor::Stack(images), "Stack");
+  const Tensor dense = TensorView(t).Materialize();
+  expect_finite(dense, "Materialize dense");
+  const Tensor strided =
+      TensorView(t).CropHW(Rect{1, 2, 6, 7}).Materialize();
+  expect_finite(strided, "Materialize cropped");
+  EXPECT_TRUE(Tensor::AllClose(strided, crop, 0.0f));
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -98,11 +104,19 @@ TEST(HashString, StableAndDistinct) {
   EXPECT_NE(util::HashString(""), util::HashString("a"));
 }
 
+// Chunks are claimed dynamically by the caller and the workers; whatever
+// the split, every index is visited exactly once: a single index, fewer
+// indices than threads, and many more.
 TEST(ThreadPool, ParallelForVisitsEveryIndexOnce) {
   util::ThreadPool pool(3);
-  std::vector<std::atomic<int>> counts(1000);
-  pool.ParallelFor(1000, [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (const auto& c : counts) ASSERT_EQ(c.load(), 1);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{1000}, std::size_t{20011}}) {
+    std::vector<std::atomic<int>> counts(n);
+    pool.ParallelFor(n, [&](std::size_t i) { counts[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(counts[i].load(), 1) << "index " << i << " of " << n;
+    }
+  }
 }
 
 TEST(ThreadPool, ParallelForRangeCoversExactly) {
@@ -137,6 +151,93 @@ TEST(ThreadPool, ReusableAfterException) {
     pool.ParallelFor(10, [](std::size_t) { throw std::runtime_error("x"); });
   } catch (...) {
   }
+  std::atomic<int> n{0};
+  pool.ParallelFor(10, [&](std::size_t) { n.fetch_add(1); });
+  EXPECT_EQ(n.load(), 10);
+}
+
+TEST(ThreadPool, FirstExceptionWinsAndEveryChunkStillRuns) {
+  util::ThreadPool pool(3);
+  std::atomic<std::size_t> covered{0};
+  int caught = 0;
+  try {
+    pool.ParallelForRange(1000, [&](std::size_t b, std::size_t e) {
+      covered.fetch_add(e - b);
+      throw std::runtime_error("chunk " + std::to_string(b));
+    });
+  } catch (const std::runtime_error& e) {
+    ++caught;
+    EXPECT_EQ(std::string(e.what()).rfind("chunk ", 0), 0u);
+  }
+  EXPECT_EQ(caught, 1);
+  EXPECT_EQ(covered.load(), 1000u);
+}
+
+TEST(ThreadPool, NestedCallsRunInlineOnTheChunksThread) {
+  util::ThreadPool pool(3);
+  std::atomic<int> off_thread{0};
+  std::atomic<int> inner_total{0};
+  pool.ParallelFor(16, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.ParallelFor(64, [&](std::size_t) {
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+      inner_total.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(inner_total.load(), 16 * 64);
+}
+
+// Caller B's chunk holds the pool's only worker. Caller A's helper task is
+// queued behind it, so A must finish all its chunks itself and return
+// without waiting for that helper; the helper later runs, finds no chunk
+// left and exits touching only the job's shared state (a TSan target).
+TEST(ThreadPool, CallerReturnsWhileAnotherCallersChunkHoldsAWorker) {
+  util::ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool worker_held = false;
+  bool release = false;
+
+  std::thread caller_b([&] {
+    const std::thread::id b_id = std::this_thread::get_id();
+    // Two chunks: B's own thread blocks in one until the worker has
+    // claimed the other, which then parks until released.
+    pool.ParallelForRange(2, [&](std::size_t, std::size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      if (std::this_thread::get_id() == b_id) {
+        cv.wait(lock, [&] { return worker_held; });
+      } else {
+        worker_held = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+      }
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return worker_held; });
+  }
+
+  std::vector<std::atomic<int>> counts(4096);
+  auto caller_a = std::async(std::launch::async, [&] {
+    pool.ParallelForRange(counts.size(), [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) counts[i].fetch_add(1);
+    });
+  });
+  const bool returned = caller_a.wait_for(std::chrono::seconds(20)) ==
+                        std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  caller_b.join();
+  caller_a.get();
+  EXPECT_TRUE(returned) << "caller waited on a helper stuck behind another "
+                           "caller's chunk";
+  for (const auto& c : counts) ASSERT_EQ(c.load(), 1);
+  // The late helper has drained by now; the pool is still usable.
   std::atomic<int> n{0};
   pool.ParallelFor(10, [&](std::size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 10);
